@@ -800,9 +800,10 @@ let jobs_arg =
     value & opt int 0
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Domains for parallel verification/simulation (default: \
-           $(b,CPSDIM_JOBS) or 1).  Results are byte-identical at any \
-           $(docv).")
+          "Domains for the parallel mapping probes, dwell-table rows and \
+           campaign trials (default: $(b,CPSDIM_JOBS) or 1); a single \
+           search always runs on one domain.  Results are byte-identical \
+           at any $(docv).")
 
 (* opt-in on verify (screened stats would differ from the engine's, and
    the engine run is exactly what the command is for); opt-out on the

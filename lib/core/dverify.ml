@@ -119,14 +119,14 @@ let orbit_max_wait part max_wait =
 (* the label of a transition: the adversary's move plus the tick
    outcome the merge loop needs (slot grants for max_wait, fresh
    errors for the verdict) — carrying it on the edge keeps the
-   successor function pure, so the engine may run it on any domain *)
+   successor function pure *)
 type move = {
   disturbed : int list;
   granted : (int * int) list;
   new_errors : int list;
 }
 
-let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
+let explore_impl ~order ~policy ~subsume ~symmetry ~instances ~deadline
     ~max_states specs =
   let n = Array.length specs in
   let max_wait = Array.make n (-1) in
@@ -152,8 +152,7 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
      interchangeable (equal phase, equal budget, both outside the
      buffer, neither owning), so the relabelled state is independent of
      which permutation realises it.  Both dedup channels call this once
-     per generated successor, in the engine's sequential merge order,
-     which keeps the collapse counter deterministic at any pool size. *)
+     per generated successor, in the engine's merge order. *)
   let canon =
     match symmetry with
     | None -> fun _ -> None
@@ -301,7 +300,7 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
            })
   in
   let r =
-    Space.run ~order ~pool ~exact:(not subsume) ?coverage ?max_states
+    Space.run ~order ~exact:(not subsume) ?coverage ?max_states
       ~max_states_check:`Pop ?deadline ~deadline_mask:1023
       ~target_check:`Generate
       ~on_edge:(fun m _ ->
@@ -343,7 +342,7 @@ let explore_impl ~pool ~order ~policy ~subsume ~symmetry ~instances ~deadline
       };
   }
 
-let explore ?pool ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
+let explore ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
     ?deadline ?max_states specs =
   (match deadline with
    | Some d when d <= 0. -> invalid_arg "Dverify: deadline must be positive"
@@ -351,7 +350,6 @@ let explore ?pool ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
   (match max_states with
    | Some n when n < 1 -> invalid_arg "Dverify: max_states must be positive"
    | _ -> ());
-  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
   let order = match order with `Bfs -> Search.Bfs | `Dfs -> Search.Dfs in
   let part =
     if not symmetry then None
@@ -361,7 +359,7 @@ let explore ?pool ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
   in
   Obs.Span.with_ "dverify" (fun () ->
       let r =
-        explore_impl ~pool ~order ~policy ~subsume ~symmetry:part ~instances
+        explore_impl ~order ~policy ~subsume ~symmetry:part ~instances
           ~deadline ~max_states specs
       in
       match (part, r.verdict) with
@@ -374,7 +372,7 @@ let explore ?pool ?(order = `Bfs) ~policy ~subsume ~symmetry ~instances
            of the one the exact engine reports; re-run without the
            quotient so trace, stats and pretty-printed output stay
            byte-identical to the reference engine *)
-        explore_impl ~pool ~order ~policy ~subsume ~symmetry:None ~instances
+        explore_impl ~order ~policy ~subsume ~symmetry:None ~instances
           ~deadline ~max_states specs)
 
 let screen ~policy specs =
@@ -407,25 +405,25 @@ let screen ~policy specs =
           };
       }
 
-let verify ?pool ?order ?(policy = Sched.Slot_state.Eager_preempt)
+let verify ?order ?(policy = Sched.Slot_state.Eager_preempt)
     ?(mode = `Subsumption) ?(prefilter = false) ?(symmetry = false) ?deadline
     ?max_states specs =
   let exact () =
     match mode with
     | `Bfs ->
-      explore ?pool ?order ~policy ~subsume:false ~symmetry ~instances:None
+      explore ?order ~policy ~subsume:false ~symmetry ~instances:None
         ?deadline ?max_states specs
     | `Subsumption ->
-      explore ?pool ?order ~policy ~subsume:true ~symmetry ~instances:None
+      explore ?order ~policy ~subsume:true ~symmetry ~instances:None
         ?deadline ?max_states specs
   in
   if not prefilter then exact ()
   else match screen ~policy specs with Some r -> r | None -> exact ()
 
-let verify_bounded ?pool ?order ?(policy = Sched.Slot_state.Eager_preempt)
+let verify_bounded ?order ?(policy = Sched.Slot_state.Eager_preempt)
     ?(symmetry = false) ?deadline ?max_states ~instances specs =
   if instances < 1 then invalid_arg "Dverify.verify_bounded: instances < 1";
-  explore ?pool ?order ~policy ~subsume:true ~symmetry
+  explore ?order ~policy ~subsume:true ~symmetry
     ~instances:(Some instances) ?deadline ?max_states specs
 
 let pp_counterexample specs ppf (ce : counterexample) =

@@ -183,7 +183,7 @@ let fingerprint ?threshold ?(stride = 1) (p : Control.Plant.t) (g : Control.Swit
       string_of_int j_star;
     ]
 
-let compute ?pool ?cache ?threshold ?(stride = 1) p g ~j_star =
+let compute ?cache ?threshold ?(stride = 1) p g ~j_star =
   if stride < 1 then invalid_arg "Dwell.compute: stride must be >= 1";
   if j_star < 1 then invalid_arg "Dwell.compute: j_star must be >= 1";
   let compute_impl () =
@@ -208,7 +208,7 @@ let compute ?pool ?cache ?threshold ?(stride = 1) p g ~j_star =
     infeasible "requirement J* = %d unattainable: J_T = %d" j_star jt;
   if je <= j_star then
     infeasible "requirement J* = %d trivially met on ET: J_E = %d" j_star je;
-  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
+  let pool = Par.Pool.default () in
   let jobs = Par.Pool.jobs pool in
   let entries =
     if jobs <= 1 then begin

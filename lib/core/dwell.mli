@@ -56,7 +56,6 @@ val fingerprint :
     floats are rendered in lossless [%h] notation. *)
 
 val compute :
-  ?pool:Par.Pool.t ->
   ?cache:cache ->
   ?threshold:float ->
   ?stride:int ->
@@ -66,9 +65,9 @@ val compute :
   t
 (** Simulate every switching combination with wait granularity [stride]
     (default 1; the paper's conservativeness/memory trade-off) and
-    build the table.  With [pool] (default {!Par.Pool.default}) sized
-    above 1, the per-[T_w] rows are simulated in parallel chunks and
-    merged in wait order — the table is byte-identical to the
+    build the table.  With the default pool ({!Par.Pool.default})
+    sized above 1, the per-[T_w] rows are simulated in parallel chunks
+    and merged in wait order — the table is byte-identical to the
     sequential scan at any pool size.  With [cache], the result is
     memoised under {!fingerprint} (infeasible computations raise and
     are never cached).  @raise Infeasible (see above). *)

@@ -45,48 +45,12 @@ let analytic_screen specs : verdict option =
   | Sched.Prefilter.Analytic_unsafe _ -> Some `Unsafe
   | Sched.Prefilter.Inconclusive -> None
 
-(* graceful-degradation verifier: exact subsumption first; when its
-   budget runs out, retry with the paper's bounded-instance
-   acceleration.  A bounded counterexample is a real counterexample, so
-   bounded-Unsafe is definitive; bounded-Safe is only an
-   under-approximation and stays Undetermined unless the caller opts
-   into accepting it. *)
-let escalating ?stage_deadline ?max_states ?(instances = 2)
-    ?(accept_bounded = false) () specs : verdict =
-  match
-    (Dverify.verify ~mode:`Subsumption ?deadline:stage_deadline ?max_states
-       specs)
-      .Dverify.verdict
-  with
-  | Dverify.Safe -> `Safe
-  | Dverify.Unsafe _ -> `Unsafe
-  | Dverify.Undetermined exact_reason -> (
-    if Obs.Trace_ctx.enabled () then Obs.Metric.count "mapping.escalations" 1;
-    match
-      (Dverify.verify_bounded ?deadline:stage_deadline ?max_states ~instances
-         specs)
-        .Dverify.verdict
-    with
-    | Dverify.Unsafe _ -> `Unsafe
-    | Dverify.Safe when accept_bounded -> `Safe
-    | Dverify.Safe ->
-      `Undetermined
-        (Format.asprintf
-           "exact search gave up (%a); bounded search (%d instances) found no \
-            error but is an under-approximation"
-           Dverify.pp_reason exact_reason instances)
-    | Dverify.Undetermined bounded_reason ->
-      `Undetermined
-        (Format.asprintf "exact: %a; bounded (%d instances): %a"
-           Dverify.pp_reason exact_reason instances Dverify.pp_reason
-           bounded_reason))
-
 (* ------------------------------------------------------------------ *)
 (* Content-addressed verdict cache.  The key is a canonical (name-
    sorted) serialisation of the group's timing parameters, so the same
-   subset probed again — by the other mapper, by an escalating retry,
-   or by a speculative parallel probe — reuses the verdict instead of
-   re-running reachability. *)
+   subset probed again — by the other mapper or by a speculative
+   parallel probe — reuses the verdict instead of re-running
+   reachability. *)
 
 type cache = verdict Par.Vcache.t
 
@@ -163,7 +127,7 @@ let probe ?cache ?(prefilter = false) ?(symmetry = true) specs =
   probe_metrics dt src;
   (v, src)
 
-let first_fit ?pool ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
+let first_fit ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
     ?(symmetry = true) ?(presorted = false) apps =
   (* the screen's soundness argument is tied to the default engine's
      semantics, so a caller-supplied verifier switches it off *)
@@ -176,7 +140,7 @@ let first_fit ?pool ?cache ?(order = `Bfs) ?verifier ?(prefilter = true)
     match verifier with Some v -> v | None -> ordered_verifier ~symmetry order
   in
   Obs.Span.with_ "mapping.first_fit" @@ fun () ->
-  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
+  let pool = Par.Pool.default () in
   let apps = if presorted then apps else sort_order apps in
   let count = ref 0 and undetermined = ref 0 in
   (* account for one *logical* probe — a group the sequential scan

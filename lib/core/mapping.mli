@@ -59,25 +59,7 @@ val sort_order : App.t list -> App.t list
 val default_verifier : verifier
 (** {!Dverify.verify} with subsumption, unbudgeted. *)
 
-val escalating :
-  ?stage_deadline:float ->
-  ?max_states:int ->
-  ?instances:int ->
-  ?accept_bounded:bool ->
-  unit ->
-  verifier
-(** Budgeted verifier with graceful fallback.  Stage 1 runs the exact
-    subsumption engine under [stage_deadline] (wall-clock seconds per
-    stage) and [max_states]; if it gives up, stage 2 retries with the
-    bounded-instance acceleration ([instances], default 2) under the
-    same per-stage budgets.  A bounded counterexample is a real one, so
-    bounded-[Unsafe] is definitive; bounded-[Safe] is an
-    under-approximation and is reported [`Undetermined] unless
-    [accept_bounded] (default false) opts into trusting it.  When both
-    stages give up the reason strings of both are reported. *)
-
 val first_fit :
-  ?pool:Par.Pool.t ->
   ?cache:cache ->
   ?order:[ `Bfs | `Dfs ] ->
   ?verifier:verifier ->
@@ -89,7 +71,7 @@ val first_fit :
 (** Run the mapping.  When [presorted] is false (default) the input is
     sorted with {!sort_order} first.
 
-    With [pool] (default {!Par.Pool.default}) sized above 1, every
+    With the default pool ({!Par.Pool.default}) sized above 1, every
     candidate group of a placement round is probed concurrently and the
     verdicts are consumed in slot order with the sequential first-fit
     tie-break, so the packing, [verifications] and [undetermined] are

@@ -57,10 +57,10 @@ type trial = {
   t_bus_overruns : int;
 }
 
-let run ?pool ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
+let run ?policy ?threshold ?bus ~spec ~seed ~runs ~horizon slots =
   if runs < 1 then invalid_arg "Campaign.run: runs must be positive";
   if horizon < 1 then invalid_arg "Campaign.run: horizon must be positive";
-  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
+  let pool = Par.Pool.default () in
   let n_slots = List.length slots in
   let slot_arr = Array.of_list slots in
   (* Each trial is a pure function of (seed, slot, run): it derives its

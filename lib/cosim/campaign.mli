@@ -36,7 +36,6 @@ type summary = {
 }
 
 val run :
-  ?pool:Par.Pool.t ->
   ?policy:Sched.Slot_state.policy ->
   ?threshold:float ->
   ?bus:Bus.configured ->
@@ -55,7 +54,7 @@ val run :
     plan; broken transport facts count the run as not clean and the
     loss totals land in the [bus_*] fields.
 
-    With [pool] (default {!Par.Pool.default}) sized above 1, trials are
+    With the default pool ({!Par.Pool.default}) sized above 1, trials are
     sharded across domains; each trial derives its streams from its own
     [(seed, slot, run)]-indexed split, and results are merged back in
     (slot, run) order — including error precedence — so the summary is

@@ -70,8 +70,21 @@ let classify key =
   in
   (* A timing histogram's sample count is exact bookkeeping, not a
      measurement: "dwell.per_tw_s.n" must match across runs even
-     though "dwell.per_tw_s.p90" may not. *)
-  let cls = if timing_name && suffix <> ".n" then Timing else Deterministic in
+     though "dwell.per_tw_s.p90" may not.  The exceptions are pool
+     series whose counts the OS scheduler decides — which domain ran a
+     task ("pool.d<i>.*") and how often a worker found the queue empty
+     ("pool.idle_s") — while the pooled task count stays exact. *)
+  let scheduled =
+    base = "pool.idle_s"
+    || String.length base > 6
+       && String.sub base 0 6 = "pool.d"
+       && base.[6] >= '0'
+       && base.[6] <= '9'
+  in
+  let cls =
+    if timing_name && (suffix <> ".n" || scheduled) then Timing
+    else Deterministic
+  in
   let dir =
     if suffix = ".n" then Neutral
     else if contains ~sub:"per_sec" base || contains ~sub:"speedup" base then

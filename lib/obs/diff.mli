@@ -11,7 +11,9 @@
       [Deterministic] (state counts, cache hit mixes, sample counts —
       anything that must reproduce across machines).  A timing
       histogram's [.n] is Deterministic: the sample {e count} is exact
-      bookkeeping even when the samples are measurements.
+      bookkeeping even when the samples are measurements — except for
+      the per-domain [pool.d<i>.*] series and [pool.idle_s], whose
+      counts depend on the OS scheduler and are Timing.
     - {e direction} — whether growth is good ([per_sec], [speedup],
       [hit]), bad (durations, [dropped], [miss]) or neither.
 

@@ -178,9 +178,8 @@ let await t fut =
 (* Coarse-grained sharding: one future per thunk, all in a single
    submission group so an [await] on any of them helps with the
    others.  This is what the serve layer uses to spread independent
-   slot groups across the pool while each group's engine run may
-   itself call [map_array] on the same pool (nesting stays
-   deadlock-free through helping). *)
+   slot groups across the pool; a thunk may itself call [map_array] on
+   the same pool (nesting stays deadlock-free through helping). *)
 let submit_list t thunks =
   let group = Atomic.fetch_and_add fresh_group 1 in
   List.map (fun f -> submit_group t group f) thunks

@@ -5,8 +5,8 @@
     The pool is built for {e deterministic} parallelism: callers submit
     pure tasks and merge the results themselves in a fixed order
     ({!map_list}/{!map_array} already do so), which is how the mapping,
-    campaign, dwell and verification layers reproduce byte-identical
-    output at any [jobs] count.
+    campaign, dwell and serve layers reproduce byte-identical output at
+    any [jobs] count.
 
     Blocking [await] {e helps}: while the awaited future is pending, the
     waiting domain executes queued tasks from the same submission group
@@ -66,10 +66,11 @@ val shutdown : t -> unit
 (** {2 Process default}
 
     One shared pool, sized by the [--jobs] CLI flag or the
-    [CPSDIM_JOBS] environment variable (default 1 = sequential).  Every
-    parallel entry point ([Mapping.first_fit], [Campaign.run],
-    [Dwell.compute], [Dverify.verify]) falls back to this pool when no
-    explicit one is passed. *)
+    [CPSDIM_JOBS] environment variable (default 1 = sequential).  The
+    coarse parallel sites — [Mapping.first_fit] candidate probes,
+    [Campaign.run] trials, [Dwell.compute] rows and the serve layer's
+    per-group sharding — all run on this pool.  A single search
+    ({!Search}) never uses it. *)
 
 val default : unit -> t
 (** The shared pool, created on first use with {!default_jobs}. *)

@@ -9,7 +9,7 @@ type stats = {
   cover_hits : int;
 }
 
-type 'state order = Bfs | Dfs | Priority of ('state -> int)
+type order = Bfs | Dfs
 
 module type STATE_SPACE = sig
   type state
@@ -67,65 +67,6 @@ module Ht = struct
     end
 end
 
-(* Minimal binary min-heap over (score, seq): FIFO among equal scores,
-   so Priority degenerates to Bfs under a constant score. *)
-module Heap = struct
-  type t = {
-    mutable a : (int * int * int) array;  (* score, seq, payload *)
-    mutable n : int;
-  }
-
-  let create () = { a = Array.make 64 (0, 0, 0); n = 0 }
-  let lt (s1, q1, _) (s2, q2, _) = s1 < s2 || (s1 = s2 && q1 < q2)
-
-  let push t cell =
-    if t.n = Array.length t.a then begin
-      let bigger = Array.make (2 * t.n) cell in
-      Array.blit t.a 0 bigger 0 t.n;
-      t.a <- bigger
-    end;
-    t.a.(t.n) <- cell;
-    t.n <- t.n + 1;
-    let i = ref (t.n - 1) in
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      lt t.a.(!i) t.a.(p)
-      && begin
-           let tmp = t.a.(p) in
-           t.a.(p) <- t.a.(!i);
-           t.a.(!i) <- tmp;
-           i := p;
-           true
-         end
-    do
-      ()
-    done
-
-  let pop t =
-    let top = t.a.(0) in
-    t.n <- t.n - 1;
-    t.a.(0) <- t.a.(t.n);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < t.n && lt t.a.(l) t.a.(!m) then m := l;
-      if r < t.n && lt t.a.(r) t.a.(!m) then m := r;
-      if !m = !i then continue := false
-      else begin
-        let tmp = t.a.(!m) in
-        t.a.(!m) <- t.a.(!i);
-        t.a.(!i) <- tmp;
-        i := !m
-      end
-    done;
-    let _, _, payload = top in
-    payload
-end
-
 module Make (S : STATE_SPACE) = struct
   type coverage =
     | Coverage : {
@@ -149,12 +90,9 @@ module Make (S : STATE_SPACE) = struct
 
   module Xt = Hashtbl.Make (S.Key)
 
-  type frontier =
-    | Q of int Queue.t
-    | Stack of int list ref
-    | H of Heap.t * (S.state -> int)
+  type frontier = Fifo of int Queue.t | Lifo of int Stack.t
 
-  let run ?(order = Bfs) ?pool ?(exact = true) ?coverage ?max_states
+  let run ?(order = Bfs) ?(exact = true) ?coverage ?max_states
       ?(max_states_check = `Insert) ?deadline ?(deadline_mask = 255)
       ?(target_check = `Insert) ?on_edge ?on_insert ?(initial_peak = 0)
       ?metrics_prefix ?(heartbeat = 1024) initial =
@@ -222,49 +160,24 @@ module Make (S : STATE_SPACE) = struct
     in
     let frontier =
       match order with
-      | Bfs -> Q (Queue.create ())
-      | Dfs -> Stack (ref [])
-      | Priority score -> H (Heap.create (), score)
+      | Bfs -> Fifo (Queue.create ())
+      | Dfs -> Lifo (Stack.create ())
     in
-    let seq = ref 0 in
-    let fpush id st =
-      match frontier with
-      | Q q -> Queue.add id q
-      | Stack s -> s := id :: !s
-      | H (h, score) ->
-        incr seq;
-        Heap.push h (score st, !seq, id)
+    let fpush id =
+      match frontier with Fifo q -> Queue.add id q | Lifo s -> Stack.push id s
     in
     let fpop () =
-      match frontier with
-      | Q q -> Queue.pop q
-      | Stack s -> (
-        match !s with
-        | id :: rest ->
-          s := rest;
-          id
-        | [] -> assert false)
-      | H (h, _) -> Heap.pop h
+      match frontier with Fifo q -> Queue.pop q | Lifo s -> Stack.pop s
     in
-    let fempty () =
-      match frontier with
-      | Q q -> Queue.is_empty q
-      | Stack s -> !s = []
-      | H (h, _) -> h.Heap.n = 0
+    let flen () =
+      match frontier with Fifo q -> Queue.length q | Lifo s -> Stack.length s
     in
-    (* [qlen] tracks the frontier depth a sequential run would see —
-       in the batched loop the batch's still-unmerged pops count as
-       popped, so waiting_peak agrees with jobs = 1 byte for byte *)
-    let qlen = ref 0 and waiting_peak = ref initial_peak in
+    let waiting_peak = ref initial_peak in
     let states = ref 1 and transitions = ref 0 in
     let found = ref (-1) in
     let exhausted = ref None in
     let pops = ref 0 in
     let engine = match metrics_prefix with Some p -> p | None -> "search" in
-    (* A heartbeat fires every [heartbeat] pops.  Its counter fields
-       replay the sequential pop sequence (see the determinism note in
-       the mli), so the event multiset is identical at any pool size
-       once the timing fields are masked. *)
     let heartbeat_tick () =
       if !pops mod heartbeat = 0 && Obs.Event.enabled () then begin
         let dt = Obs.Clock.now () -. t0 in
@@ -273,7 +186,7 @@ module Make (S : STATE_SPACE) = struct
             ("engine", Obs.Event.Str engine);
             ("states", Obs.Event.Int !states);
             ("transitions", Obs.Event.Int !transitions);
-            ("frontier", Obs.Event.Int !qlen);
+            ("frontier", Obs.Event.Int (flen ()));
             ("dedup_hits", Obs.Event.Int !dedup_hits);
             ("cover_hits", Obs.Event.Int !cover_hits);
             ( "states_per_sec",
@@ -321,52 +234,24 @@ module Make (S : STATE_SPACE) = struct
            exhausted := Some (Max_states cap);
            raise_notrace Exit
          | _ -> ());
-        fpush id succ;
-        incr qlen;
-        if !qlen > !waiting_peak then waiting_peak := !qlen
+        fpush id;
+        if flen () > !waiting_peak then waiting_peak := flen ()
       end
     in
     (* seed with the initial state (id 0) *)
     let id0 = add_state initial in
     ignore (seen initial);
     (match on_insert with Some f -> f initial | None -> ());
-    fpush id0 initial;
-    qlen := 1;
+    fpush id0;
     if target_check = `Insert && S.is_target None initial then found := id0;
-    let jobs = match pool with Some p -> Par.Pool.jobs p | None -> 1 in
-    let batched = match order with Bfs -> jobs > 1 | Dfs | Priority _ -> false in
     (try
-       if not batched then
-         while (not (fempty ())) && !found < 0 do
-           incr pops;
-           heartbeat_tick ();
-           if pop_budget () then raise_notrace Exit;
-           let id = fpop () in
-           decr qlen;
-           List.iter (process id) (S.successors (state_of id))
-         done
-       else begin
-         let pool = Option.get pool in
-         let q = match frontier with Q q -> q | Stack _ | H _ -> assert false in
-         while not (Queue.is_empty q) do
-           let k = Int.min (Queue.length q) (jobs * 4) in
-           let batch = Array.make k id0 in
-           for i = 0 to k - 1 do
-             batch.(i) <- Queue.pop q
-           done;
-           let expanded =
-             Par.Pool.map_array pool (fun id -> S.successors (state_of id)) batch
-           in
-           Array.iteri
-             (fun i succs ->
-               incr pops;
-               heartbeat_tick ();
-               if pop_budget () then raise_notrace Exit;
-               decr qlen;
-               List.iter (process batch.(i)) succs)
-             expanded
-         done
-       end
+       while flen () > 0 && !found < 0 do
+         incr pops;
+         heartbeat_tick ();
+         if pop_budget () then raise_notrace Exit;
+         let id = fpop () in
+         List.iter (process id) (S.successors (state_of id))
+       done
      with Exit -> ());
     let elapsed = Obs.Clock.now () -. t0 in
     (match metrics_prefix with

@@ -4,28 +4,16 @@
     ({!Ta.Reach}), the discrete adversary search ({!Core.Dverify}) and
     the concrete enumeration oracle ({!Ta.Concrete.enumerate}) — are
     instantiations of this one engine.  It owns frontier management
-    (BFS queue / DFS stack / priority by a client score), exact and
-    antichain (coverage/subsumption) deduplication over a typed key
-    with explicit [equal]/[hash], unified budgets (state cap and
-    wall-clock deadline, reported as one {!Exhausted} outcome), unified
-    {!stats}, parent-table trace reconstruction keyed by dense state
-    ids, and the {!Par.Pool} batched parallel expansion with the
-    sequential-merge-order guarantee.
+    (BFS queue or DFS stack), exact and antichain
+    (coverage/subsumption) deduplication over a typed key with explicit
+    [equal]/[hash], unified budgets (state cap and wall-clock deadline,
+    reported as one {!Exhausted} outcome), unified {!stats}, and
+    parent-table trace reconstruction keyed by dense state ids.
 
-    {2 Determinism}
-
-    With a FIFO frontier and [pool] sized above 1, the engine pops the
-    first [K] frontier entries (exactly the next [K] sequential pops —
-    BFS children always land behind them), expands them in parallel
-    with the client's pure [successors], then merges the expansions in
-    pop order, replaying the sequential loop's side effects
-    ([on_edge], dedup insertion, counters, budget checks) verbatim.
-    Outcomes, traces and every counter are therefore byte-identical to
-    the sequential run at any pool size; the only speculation is
-    expansion past a target or budget cut within one batch, and those
-    results are discarded.  Non-FIFO frontiers run sequentially: a
-    batch popped ahead of time would not match the LIFO or priority
-    pop order. *)
+    A run is one sequential loop on the calling domain: pop a state,
+    expand it, merge its successors.  Callers that want parallelism run
+    independent searches side by side (distinct slot groups, mapping
+    candidates); a single search never fans out. *)
 
 type budget_reason =
   | Max_states of int  (** the state cap that was hit *)
@@ -40,11 +28,9 @@ type stats = {
   cover_hits : int;  (** successors subsumed by the coverage antichain *)
 }
 
-type 'state order =
-  | Bfs  (** FIFO — the only order eligible for batched expansion *)
+type order =
+  | Bfs  (** FIFO *)
   | Dfs  (** LIFO; successors of a state are popped most-recent-first *)
-  | Priority of ('state -> int)
-      (** smallest score first; FIFO among equal scores *)
 
 (** What a client must provide: states, labelled successor generation,
     a typed dedup key with explicit equality and hashing (no
@@ -92,8 +78,7 @@ module Make (S : STATE_SPACE) : sig
   }
 
   val run :
-    ?order:S.state order ->
-    ?pool:Par.Pool.t ->
+    ?order:order ->
     ?exact:bool ->
     ?coverage:coverage ->
     ?max_states:int ->
@@ -130,8 +115,8 @@ module Make (S : STATE_SPACE) : sig
       client whose error states must never enter the visited set.
 
       [on_edge] runs for every generated successor, [on_insert] for
-      every stored state (including the initial), both in sequential
-      merge order at any pool size.  [initial_peak] (default [0]) seeds
+      every stored state (including the initial), both in merge
+      order.  [initial_peak] (default [0]) seeds
       the frontier-depth statistic for clients that count the initial
       state.  [metrics_prefix] emits [<p>.states], [<p>.transitions],
       [<p>.waiting_peak] and [<p>.states_per_sec] through {!Obs} when
@@ -142,10 +127,7 @@ module Make (S : STATE_SPACE) : sig
       ["search.heartbeat"] event every [heartbeat] pops (default 1024)
       carrying live progress — states, transitions, frontier depth,
       dedup/coverage hit counts and the running states-per-second —
-      and one ["search.done"] event with the outcome.  The counter
-      fields replay the sequential pop sequence, so at any pool size
-      the event multiset is identical once timing fields are
-      masked. *)
+      and one ["search.done"] event with the outcome. *)
 end
 
 module Symmetry : module type of Symmetry

@@ -8,7 +8,7 @@ let owner_trace (specs : Sched.Appspec.t array) ~disturbances ~horizon =
       if sample < 0 || sample >= horizon then
         invalid_arg "Ta_schedule: disturbance outside the horizon")
     disturbances;
-  let net = Ta_model.build specs in
+  let net = Core.Ta_model.build specs in
   let name_of id = specs.(id).Sched.Appspec.name in
   let disturb_label id =
     Printf.sprintf "%s: Steady -> Dist_init" (name_of id)
@@ -87,8 +87,8 @@ let owner_trace (specs : Sched.Appspec.t array) ~disturbances ~horizon =
          corresponds to the arbiter's sample time-2 *)
       let sample = st.Ta.Concrete.time - 2 in
       if sample >= 0 && sample < horizon then begin
-        let owner_var = Ta_model.Layout.owner ~n in
-        let run_var = Ta_model.Layout.run ~n in
+        let owner_var = Core.Ta_model.Layout.owner ~n in
+        let run_var = Core.Ta_model.Layout.run ~n in
         result.(sample) <-
           (if st.Ta.Concrete.store.(run_var) = 1 then
              Some st.Ta.Concrete.store.(owner_var)

@@ -219,7 +219,7 @@ let test_ta_simulation_matches_arbiter () =
   List.iter
     (fun disturbances ->
       let horizon = 70 in
-      let ta = Core.Ta_schedule.owner_trace specs ~disturbances ~horizon in
+      let ta = Ta_schedule.owner_trace specs ~disturbances ~horizon in
       let arb = Sched.Arbiter.create specs in
       Sched.Arbiter.run arb ~horizon ~disturbances;
       check_bool "schedules equal" true (ta = Sched.Arbiter.owner_trace arb))
@@ -236,11 +236,11 @@ let test_ta_simulation_detects_miss () =
   check_bool "miss detected" true
     (try
        ignore
-         (Core.Ta_schedule.owner_trace specs
+         (Ta_schedule.owner_trace specs
             ~disturbances:[ (0, 0); (0, 1) ]
             ~horizon:20);
        false
-     with Core.Ta_schedule.Error_reached _ -> true)
+     with Ta_schedule.Error_reached _ -> true)
 
 let () =
   Alcotest.run "integration"

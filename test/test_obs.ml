@@ -468,6 +468,10 @@ let test_diff_classification () =
     (c "pool.run_s.p90" = (Obs.Diff.Timing, Obs.Diff.Lower_better));
   check_bool "sample count of a timing histogram is deterministic" true
     (c "pool.run_s.n" = (Obs.Diff.Deterministic, Obs.Diff.Neutral));
+  check_bool "per-domain and idle sample counts are scheduling-dependent" true
+    (c "pool.d1.run_s.n" = (Obs.Diff.Timing, Obs.Diff.Neutral)
+    && c "pool.d0.queue_wait_s.n" = (Obs.Diff.Timing, Obs.Diff.Neutral)
+    && c "pool.idle_s.n" = (Obs.Diff.Timing, Obs.Diff.Neutral));
   check_bool "throughput is timing, higher-better" true
     (c "bench.search.dverify_s2.states_per_sec"
     = (Obs.Diff.Timing, Obs.Diff.Higher_better));

@@ -1,23 +1,27 @@
 (* Tests for the domain pool (lib/par) and for the determinism
    guarantee of every parallel entry point: mapping packings, campaign
-   summaries, dwell tables and verification results must be
-   byte-identical at --jobs 1, 2 and 4 — including under fault plans
-   and budget (Undetermined) outcomes.  Also the regression test for
-   the Ta.Reach stats counters, which used to live in process-global
-   mutable state. *)
+   summaries and dwell tables must be byte-identical at --jobs 1, 2 and
+   4 — including under fault plans and budget (Undetermined) outcomes.
+   Also the regression test for the Ta.Reach stats counters, which used
+   to live in process-global mutable state. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* run [f] once per pool size, shutting the pools down afterwards, and
-   return the results in jobs order *)
-let at_pool_sizes sizes f =
-  List.map
-    (fun jobs ->
-      let pool = Par.Pool.create ~jobs in
-      Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool))
-    sizes
+(* run [f] with the default pool sized [jobs], restoring the previous
+   size afterwards *)
+let with_default_jobs jobs f =
+  let saved = Par.Pool.default_jobs () in
+  Fun.protect
+    ~finally:(fun () -> Par.Pool.set_default_jobs saved)
+    (fun () ->
+      Par.Pool.set_default_jobs jobs;
+      f ())
+
+(* run [f] once per default-pool size and return the results in jobs
+   order *)
+let at_jobs sizes f = List.map (fun jobs -> with_default_jobs jobs f) sizes
 
 let all_equal = function
   | [] | [ _ ] -> true
@@ -266,60 +270,6 @@ let pair ~r =
     spec ~name:"B" ~id:1 ~t_w_max:2 ~dmin:2 ~dmax:5 ~r ();
   |]
 
-(* everything in a Dverify result except wall-clock time *)
-let dv_key (r : Core.Dverify.result) =
-  ( r.verdict,
-    r.stats.Core.Dverify.states,
-    r.stats.Core.Dverify.transitions,
-    r.stats.Core.Dverify.max_wait )
-
-(* ------------------------------------------------------------------ *)
-(* Dverify determinism *)
-
-let test_dverify_deterministic_safe () =
-  let g = pair ~r:30 in
-  let results =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        dv_key (Core.Dverify.verify ~pool ~mode:`Bfs g))
-  in
-  check_bool "safe group: identical verdict and stats" true
-    (all_equal results)
-
-let test_dverify_deterministic_unsafe () =
-  (* tight r makes the pair unsafe; counterexamples must coincide *)
-  let g = pair ~r:9 in
-  let results =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        dv_key (Core.Dverify.verify ~pool ~mode:`Bfs g))
-  in
-  check_bool "unsafe group: identical counterexample and stats" true
-    (all_equal results);
-  match results with
-  | (Core.Dverify.Unsafe _, _, _, _) :: _ -> ()
-  | _ -> Alcotest.fail "expected an unsafe verdict"
-
-let test_dverify_deterministic_budget () =
-  (* a state budget (never a wall-clock deadline: those are inherently
-     timing-dependent) must cut off at the same state at any jobs *)
-  let g = pair ~r:30 in
-  let results =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        dv_key (Core.Dverify.verify ~pool ~mode:`Bfs ~max_states:20 g))
-  in
-  check_bool "budget cut-off byte-identical" true (all_equal results);
-  match results with
-  | (Core.Dverify.Undetermined (Core.Dverify.State_budget 20), _, _, _) :: _
-    -> ()
-  | _ -> Alcotest.fail "expected Undetermined (State_budget 20)"
-
-let test_dverify_bounded_deterministic () =
-  let g = pair ~r:30 in
-  let results =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        dv_key (Core.Dverify.verify_bounded ~pool ~instances:2 g))
-  in
-  check_bool "bounded engine deterministic" true (all_equal results)
-
 (* ------------------------------------------------------------------ *)
 (* Mapping determinism *)
 
@@ -327,21 +277,27 @@ let outcome_string o = Format.asprintf "%a" Core.Mapping.pp o
 
 let test_mapping_deterministic () =
   let packings =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
+    at_jobs [ 1; 2; 4 ] (fun () ->
         let cache = Core.Mapping.create_cache () in
-        outcome_string (Core.Mapping.first_fit ~pool ~cache (Lazy.force apps)))
+        outcome_string (Core.Mapping.first_fit ~cache (Lazy.force apps)))
   in
   check_bool "first-fit packing byte-identical at jobs 1/2/4" true
     (all_equal packings)
 
 let test_mapping_deterministic_under_budget () =
-  (* an escalating verifier whose stages exhaust their state budgets:
-     Undetermined outcomes must still merge deterministically *)
-  let verifier = Core.Mapping.escalating ~max_states:40 () in
+  (* a verifier whose state budget runs out: Undetermined outcomes
+     must still merge deterministically *)
+  let verifier specs =
+    match (Core.Dverify.verify ~max_states:40 specs).Core.Dverify.verdict with
+    | Core.Dverify.Safe -> `Safe
+    | Core.Dverify.Unsafe _ -> `Unsafe
+    | Core.Dverify.Undetermined r ->
+      `Undetermined (Format.asprintf "%a" Core.Dverify.pp_reason r)
+  in
   let outcomes =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
+    at_jobs [ 1; 2; 4 ] (fun () ->
         let o =
-          Core.Mapping.first_fit ~pool
+          Core.Mapping.first_fit
             ~cache:(Core.Mapping.create_cache ())
             ~verifier (Lazy.force apps)
         in
@@ -357,12 +313,11 @@ let test_mapping_cache_shared_with_optimal () =
   (* analytic screen off: screened probes are answered ahead of the
      cache, so only unscreened runs make the sharing observable *)
   let cache = Core.Mapping.create_cache () in
-  let pool = Par.Pool.create ~jobs:2 in
   let ff =
-    Core.Mapping.first_fit ~pool ~cache ~prefilter:false (Lazy.force apps)
+    with_default_jobs 2 (fun () ->
+        Core.Mapping.first_fit ~cache ~prefilter:false (Lazy.force apps))
   in
   let opt = Core.Mapping.optimal ~cache ~prefilter:false (Lazy.force apps) in
-  Par.Pool.shutdown pool;
   let hits, misses = Core.Mapping.cache_stats cache in
   check_bool "optimal reused first-fit verdicts" true (hits > 0);
   check_bool "some probes were fresh" true (misses > 0);
@@ -383,8 +338,7 @@ let test_mapping_cache_does_not_change_counts () =
 
 let test_dwell_deterministic () =
   let tables =
-    at_pool_sizes [ 1; 2; 4 ] (fun pool ->
-        Core.Dwell.compute ~pool plant gains ~j_star:25)
+    at_jobs [ 1; 2; 4 ] (fun () -> Core.Dwell.compute plant gains ~j_star:25)
   in
   check_bool "dwell table byte-identical at jobs 1/2/4" true
     (all_equal tables)
@@ -394,14 +348,14 @@ let test_dwell_deterministic () =
 
 let slots = lazy [ [ app "A"; app ~r:130 "B" ]; [ app ~r:140 "C" ] ]
 
-let campaign ?groups ~spec_str pool =
+let campaign ?groups ~spec_str () =
   let spec =
     match Faults.Spec.parse spec_str with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
   let groups = Option.value groups ~default:(Lazy.force slots) in
-  Cosim.Campaign.run ~pool ~spec ~seed:42L ~runs:4 ~horizon:120 groups
+  Cosim.Campaign.run ~spec ~seed:42L ~runs:4 ~horizon:120 groups
 
 let check_campaign_deterministic summaries =
   check_bool "campaign summary byte-identical at jobs 1/2/4" true
@@ -416,11 +370,11 @@ let test_campaign_deterministic () =
      materialises it separately), so the multi-slot case sticks to
      blackouts *)
   check_campaign_deterministic
-    (at_pool_sizes [ 1; 2; 4 ] (campaign ~spec_str:"blackout:p=0.05,len=3"))
+    (at_jobs [ 1; 2; 4 ] (campaign ~spec_str:"blackout:p=0.05,len=3"))
 
 let test_campaign_deterministic_app_faults () =
   check_campaign_deterministic
-    (at_pool_sizes [ 1; 2; 4 ]
+    (at_jobs [ 1; 2; 4 ]
        (campaign
           ~groups:[ [ app "A"; app ~r:130 "B" ] ]
           ~spec_str:"loss:A@p=0.1;drop:B@p=0.05;burst:A@7"))
@@ -428,9 +382,7 @@ let test_campaign_deterministic_app_faults () =
 let test_campaign_error_deterministic () =
   (* a spec naming an unknown app fails materialisation; the error and
      its precedence must not depend on the pool size *)
-  let errors =
-    at_pool_sizes [ 1; 2; 4 ] (campaign ~spec_str:"burst:NOSUCH@5")
-  in
+  let errors = at_jobs [ 1; 2; 4 ] (campaign ~spec_str:"burst:NOSUCH@5") in
   check_bool "error byte-identical at jobs 1/2/4" true (all_equal errors);
   match errors with
   | Error _ :: _ -> ()
@@ -490,15 +442,6 @@ let () =
           Alcotest.test_case "distinct keys" `Quick test_vcache_distinct_keys;
           Alcotest.test_case "shared across domains" `Quick
             test_vcache_shared_across_domains;
-        ] );
-      ( "dverify determinism",
-        [
-          Alcotest.test_case "safe" `Quick test_dverify_deterministic_safe;
-          Alcotest.test_case "unsafe" `Quick test_dverify_deterministic_unsafe;
-          Alcotest.test_case "state budget" `Quick
-            test_dverify_deterministic_budget;
-          Alcotest.test_case "bounded engine" `Quick
-            test_dverify_bounded_deterministic;
         ] );
       ( "mapping determinism",
         [

@@ -1,7 +1,7 @@
 (* The unified search engine (lib/search), tested at two levels.
 
    Engine unit tests drive Search.Make over small synthetic graphs and
-   check the things the production clients rely on: the three frontier
+   check the things the production clients rely on: both frontier
    orders, both state-budget check points, the deadline budget, the
    `Generate/`Insert target regimes, antichain coverage pruning, and
    parent-table trace reconstruction.
@@ -13,8 +13,7 @@
    (max-wait) tables, counterexample text and witness traces against
    numbers captured from the pre-refactor explorers on the paper's
    case study.  Any drift here means the refactor changed observable
-   semantics, which is exactly what it must never do; the same pins are
-   asserted under explicit 1/2/4-domain pools. *)
+   semantics, which is exactly what it must never do. *)
 
 let pr_arr a =
   "[|" ^ String.concat ";" (Array.to_list (Array.map string_of_int a)) ^ "|]"
@@ -48,10 +47,9 @@ let insert_order ?order graph_fn initial =
   let r = Ints.run ?order ~on_insert:(fun s -> seen := s :: !seen) initial in
   (r, List.rev !seen)
 
-(* a three-level tree whose insertion order separates all three
-   frontier disciplines: 0 -> 12,21,33 (priority scores 2,1,3 under
-   [n mod 10]), each with one child recording when its parent was
-   popped *)
+(* a three-level tree whose insertion order separates the two
+   frontier disciplines: 0 -> 12,21,33, each with one child recording
+   when its parent was popped *)
 let tree = function
   | 0 -> [ ("a", 12); ("b", 21); ("c", 33) ]
   | 12 -> [ ("d", 112) ]
@@ -70,13 +68,6 @@ let test_order_dfs () =
   let _, order = insert_order ~order:Search.Dfs tree 0 in
   (* the stack pops the most recently pushed sibling first *)
   Alcotest.(check (list int)) "LIFO insert order" [ 0; 12; 21; 33; 133; 121; 112 ] order
-
-let test_order_priority () =
-  let _, order =
-    insert_order ~order:(Search.Priority (fun n -> n mod 10)) tree 0
-  in
-  (* scores: 21 -> 1, 12 -> 2, 33 -> 3 *)
-  Alcotest.(check (list int)) "smallest score first" [ 0; 12; 21; 33; 121; 112; 133 ] order
 
 let chain n = if n < 1_000 then [ ("s", n + 1) ] else []
 
@@ -217,9 +208,9 @@ let unsafe_pair =
      in
      [| spec ~name:"A" ~id:0; spec ~name:"B" ~id:1 |])
 
-let check_dv label ?pool ?order ?mode ?prefilter ?symmetry specs ~verdict
-    ~states ~transitions ~max_wait =
-  let r = Core.Dverify.verify ?pool ?order ?mode ?prefilter ?symmetry specs in
+let check_dv label ?order ?mode ?prefilter ?symmetry specs ~verdict ~states
+    ~transitions ~max_wait =
+  let r = Core.Dverify.verify ?order ?mode ?prefilter ?symmetry specs in
   let v =
     match r.Core.Dverify.verdict with
     | Core.Dverify.Safe -> "Safe"
@@ -363,23 +354,30 @@ let test_order_independence () =
       ("AB", Lazy.force unsafe_pair);
     ]
 
-(* the batched expansion must replay the sequential run exactly: same
-   verdict, same counts, same dwell table at every pool size *)
-let test_jobs_determinism () =
-  List.iter
-    (fun jobs ->
-      let pool = Par.Pool.create ~jobs in
+(* a single search never fans out: even with a two-domain default pool
+   and tracing on, verifying S2 submits no pool task *)
+let test_no_pool_tasks () =
+  Obs.Trace_ctx.enable ();
+  Obs.Metric.reset ();
+  let saved = Par.Pool.default_jobs () in
+  Fun.protect
+    ~finally:(fun () ->
+      Par.Pool.set_default_jobs saved;
+      Obs.Metric.reset ();
+      Obs.Trace_ctx.disable ())
+    (fun () ->
+      Par.Pool.set_default_jobs 2;
       ignore
-        (check_dv
-           (Printf.sprintf "S2 jobs=%d" jobs)
-           ~pool (Lazy.force s2) ~verdict:"Safe" ~states:10201
-           ~transitions:10609 ~max_wait:"[|6;7|]");
-      ignore
-        (check_dv
-           (Printf.sprintf "AB jobs=%d" jobs)
-           ~pool (Lazy.force unsafe_pair) ~verdict:"Unsafe" ~states:17
-           ~transitions:18 ~max_wait:"[|0;0|]"))
-    [ 1; 2; 4 ]
+        (check_dv "S2 at default jobs 2" (Lazy.force s2) ~verdict:"Safe"
+           ~states:10201 ~transitions:10609 ~max_wait:"[|6;7|]");
+      let tasks =
+        List.fold_left
+          (fun n -> function
+            | Obs.Metric.Histogram ("pool.run_s", h) -> n + h.Obs.Metric.n
+            | _ -> n)
+          0 (Obs.Metric.snapshot ())
+      in
+      Alcotest.(check int) "pool.run_s samples" 0 tasks)
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry quotient pins.  The quotient must be invisible in every
@@ -397,18 +395,6 @@ let trio =
          ~t_dw_max:(Array.make 9 4) ~r:13
      in
      [| spec ~name:"A" ~id:0; spec ~name:"B" ~id:1; spec ~name:"C" ~id:2 |])
-
-let dv_fingerprint (r : Core.Dverify.result) =
-  let v =
-    match r.Core.Dverify.verdict with
-    | Core.Dverify.Safe -> "Safe"
-    | Core.Dverify.Unsafe _ -> "Unsafe"
-    | Core.Dverify.Undetermined _ -> "Undet"
-  in
-  Printf.sprintf "%s states=%d transitions=%d max_wait=%s" v
-    r.Core.Dverify.stats.Core.Dverify.states
-    r.Core.Dverify.stats.Core.Dverify.transitions
-    (pr_arr r.Core.Dverify.stats.Core.Dverify.max_wait)
 
 let test_symmetry_safe_agrees () =
   let g = Lazy.force trio in
@@ -437,23 +423,16 @@ let test_symmetry_unsafe_byte_identical () =
      and on Unsafe the transparent exact re-run must make it invisible
      bit-for-bit, counterexample text included *)
   let g = Lazy.force unsafe_pair in
-  List.iter
-    (fun jobs ->
-      let pool = Par.Pool.create ~jobs in
-      let r =
-        check_dv
-          (Printf.sprintf "AB quotient jobs=%d" jobs)
-          ~pool ~symmetry:true g ~verdict:"Unsafe" ~states:17 ~transitions:18
-          ~max_wait:"[|0;0|]"
-      in
-      match r.Core.Dverify.verdict with
-      | Core.Dverify.Unsafe ce ->
-        Alcotest.(check (list int)) "failing ids" [ 0 ] ce.Core.Dverify.failing;
-        Alcotest.(check string) "rendered counterexample" expected_ce_text
-          (String.trim
-             (Format.asprintf "%a" (Core.Dverify.pp_counterexample g) ce))
-      | _ -> Alcotest.fail "AB must stay unsafe under the quotient")
-    [ 1; 2; 4 ]
+  let r =
+    check_dv "AB quotient" ~symmetry:true g ~verdict:"Unsafe" ~states:17
+      ~transitions:18 ~max_wait:"[|0;0|]"
+  in
+  match r.Core.Dverify.verdict with
+  | Core.Dverify.Unsafe ce ->
+    Alcotest.(check (list int)) "failing ids" [ 0 ] ce.Core.Dverify.failing;
+    Alcotest.(check string) "rendered counterexample" expected_ce_text
+      (String.trim (Format.asprintf "%a" (Core.Dverify.pp_counterexample g) ce))
+  | _ -> Alcotest.fail "AB must stay unsafe under the quotient"
 
 let test_symmetry_heterogeneous_untouched () =
   (* no two S2 applications share parameters: every orbit is a
@@ -462,25 +441,10 @@ let test_symmetry_heterogeneous_untouched () =
     (check_dv "S2 with symmetry" ~symmetry:true (Lazy.force s2) ~verdict:"Safe"
        ~states:10201 ~transitions:10609 ~max_wait:"[|6;7|]")
 
-let test_symmetry_jobs_determinism () =
-  let g = Lazy.force trio in
-  let runs =
-    List.map
-      (fun jobs ->
-        let pool = Par.Pool.create ~jobs in
-        dv_fingerprint (Core.Dverify.verify ~pool ~symmetry:true g))
-      [ 1; 2; 4 ]
-  in
-  match runs with
-  | a :: rest ->
-    List.iteri
-      (fun i b ->
-        Alcotest.(check string)
-          (Printf.sprintf "quotient run identical at jobs %d"
-             (List.nth [ 2; 4 ] i))
-          a b)
-      rest
-  | [] -> assert false
+let test_symmetry_safe_pin () =
+  ignore
+    (check_dv "trio quotient" ~symmetry:true (Lazy.force trio) ~verdict:"Safe"
+       ~states:560 ~transitions:920 ~max_wait:"[|6;6;6|]")
 
 let test_symmetry_orbit_metric () =
   Obs.Trace_ctx.enable ();
@@ -517,7 +481,6 @@ let () =
         [
           Alcotest.test_case "BFS order" `Quick test_order_bfs;
           Alcotest.test_case "DFS order" `Quick test_order_dfs;
-          Alcotest.test_case "priority order" `Quick test_order_priority;
           Alcotest.test_case "max_states at insert" `Quick test_budget_insert;
           Alcotest.test_case "max_states at pop" `Quick test_budget_pop;
           Alcotest.test_case "deadline" `Quick test_budget_deadline;
@@ -535,20 +498,20 @@ let () =
           Alcotest.test_case "reach pins (C1C5)" `Quick test_pin_reach_c1c5;
           Alcotest.test_case "reach trace pin (AB)" `Quick test_pin_reach_trace;
           Alcotest.test_case "order independence" `Quick test_order_independence;
-          Alcotest.test_case "jobs 1/2/4 determinism" `Quick
-            test_jobs_determinism;
+          Alcotest.test_case "no pool tasks at default jobs 2" `Quick
+            test_no_pool_tasks;
           Alcotest.test_case "mapping packing pin" `Quick test_pin_mapping;
         ] );
       ( "symmetry",
         [
           Alcotest.test_case "safe quotient agrees" `Quick
             test_symmetry_safe_agrees;
-          Alcotest.test_case "unsafe byte-identical at jobs 1/2/4" `Quick
+          Alcotest.test_case "unsafe byte-identical" `Quick
             test_symmetry_unsafe_byte_identical;
           Alcotest.test_case "heterogeneous untouched" `Quick
             test_symmetry_heterogeneous_untouched;
-          Alcotest.test_case "safe quotient jobs 1/2/4" `Quick
-            test_symmetry_jobs_determinism;
+          Alcotest.test_case "safe quotient pin" `Quick
+            test_symmetry_safe_pin;
           Alcotest.test_case "orbit_collapsed metric" `Quick
             test_symmetry_orbit_metric;
         ] );
